@@ -1,8 +1,18 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace crmd::sim {
+
+double ContentionTotal::to_double(__int128_t fixed) noexcept {
+  return std::ldexp(static_cast<double>(fixed), -64);
+}
+
+__int128_t ContentionTotal::to_fixed(double p) noexcept {
+  // Truncation is exact and deterministic, so remove(p) undoes add(p).
+  return static_cast<__int128_t>(std::ldexp(p, 64));
+}
 
 void StreamSummary::add(const JobResult& job) noexcept {
   ++jobs;

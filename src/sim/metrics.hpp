@@ -35,6 +35,28 @@ struct SlotRecord {
   std::uint32_t faults = 0;
 };
 
+/// Exact running sum of declared transmit probabilities in 2^-64 fixed
+/// point. Adding and removing the same values in any order returns it to
+/// exactly zero, which a double running total cannot promise over a
+/// 2^28-slot stream. The wake scheduler keeps the contention of its parked
+/// jobs here (DESIGN.md §6j).
+class ContentionTotal {
+ public:
+  void add(double p) noexcept { sum_ += to_fixed(p); }
+  void remove(double p) noexcept { sum_ -= to_fixed(p); }
+  /// The total, rounded to the nearest double (0.0 when empty).
+  [[nodiscard]] double value() const noexcept {
+    return sum_ == 0 ? 0.0 : to_double(sum_);
+  }
+  friend bool operator==(const ContentionTotal&,
+                         const ContentionTotal&) = default;
+
+ private:
+  static __int128_t to_fixed(double p) noexcept;
+  static double to_double(__int128_t fixed) noexcept;
+  __int128_t sum_ = 0;
+};
+
 /// Whole-run channel statistics.
 struct SimMetrics {
   /// Slots actually resolved (live jobs present). Includes fast-forwarded
@@ -43,9 +65,9 @@ struct SimMetrics {
   /// Idle slots skipped by fast-forwarding between arrival bursts (no live
   /// jobs; nothing to account — NOT part of slots_simulated).
   std::int64_t slots_skipped = 0;
-  /// Slots covered by the event-driven fast-forward engine instead of
-  /// per-slot simulation (SimConfig::fast_forward; subset of
-  /// slots_simulated, zero with fast-forward off). Like capture_wins this
+  /// Slots the event-driven fast-forward engine skipped because no live job
+  /// was awake, instead of stepping them (SimConfig::fast_forward; subset
+  /// of slots_simulated, zero with fast-forward off). Like capture_wins this
   /// is a pinned artifact of the engine's traversal, deliberately excluded
   /// from the golden report digest (tests/report_digest.hpp).
   std::int64_t fast_forward_slots = 0;
@@ -93,9 +115,10 @@ struct SimMetrics {
   /// live, non-dark, and did not declare sleep (SlotAction::sleep or a
   /// dormancy promise), and asleep otherwise. The states are disjoint, so
   /// slots_awake == slots_listening + slots_transmitting always (pinned by
-  /// tests/test_energy.cpp). Fast-forwarded spans account zero awake
-  /// job-slots both ways — a dormant span is exactly a sleep span — which
-  /// is why these counters are bit-identical across --fast-forward modes.
+  /// tests/test_energy.cpp). Parked and fast-forwarded slots account zero
+  /// awake job-slots both ways — a dormant span is exactly a sleep span —
+  /// which is why these counters are bit-identical across --fast-forward
+  /// modes.
   /// Like capture_wins, deliberately excluded from the golden report
   /// digest (tests/report_digest.hpp); pinned by their own kGoldenEnergy
   /// digests instead.

@@ -60,15 +60,17 @@ struct SlotView {
   Slot global_slot = 0;
 };
 
-///// A dormancy promise for the fast-forward engine (DESIGN.md §6j): "for
+/// A dormancy promise for the fast-forward engine (DESIGN.md §6j): "for
 /// the next `slots` slots, starting with the one being queried, I will not
-/// transmit, I will declare a constant probability `prob`, any feedback I
-/// observe leaves my state unchanged (I did not transmit, so success/noise
-/// concern other jobs), and done() stays false." `slots == 0` means no
-/// promise — the engine must simulate the slot. Protocols with pre-drawn
-/// schedules (UNIFORM's attempt list, BEB's backoff slot) can promise the
-/// whole gap to their next attempt; adaptive per-slot protocols simply
-/// inherit the no-promise default.
+/// transmit, I will declare sleep and a constant probability `prob`, any
+/// feedback I observe leaves my state unchanged (I did not transmit, so
+/// success/noise concern other jobs), and done() stays false." `slots == 0`
+/// means no promise — the engine must simulate the slot. On a promise the
+/// engine parks the job: it makes no on_slot, on_feedback or done() call
+/// until the span ends (or the deadline arrives, whichever is first).
+/// Protocols with pre-drawn schedules (UNIFORM's attempt list, BEB's
+/// backoff slot) can promise the whole gap to their next attempt; adaptive
+/// per-slot protocols simply inherit the no-promise default.
 struct DormantSpan {
   Slot slots = 0;
   double prob = 0.0;
@@ -86,8 +88,9 @@ struct SlotAction {
   /// *enforced*: a sleeper's perceived feedback is scrubbed to silence
   /// before on_feedback, so a protocol that lies sleeps through real cues
   /// rather than silently cheating the energy meter. on_feedback is still
-  /// called every slot (it is the protocol's timer tick). A dormant span
-  /// is exactly a run of sleep slots, so fast-forwarded gaps batch-account
+  /// called every slot the job is stepped (it is the protocol's timer
+  /// tick); a job parked on a dormancy promise is not stepped at all. A
+  /// dormant span is exactly a run of sleep slots, so parked slots account
   /// the same energy the slot-by-slot engine would.
   bool sleep = false;
   /// The message to put on the channel when `transmit` is true.
@@ -102,9 +105,10 @@ struct SlotAction {
 /// Per-job protocol state machine.
 ///
 /// Lifecycle: construct -> on_activate (once, in the release slot) -> for
-/// each live slot: on_slot (decide) then on_feedback (observe the resolved
-/// slot). The simulator drops the job at its deadline, when `done()`
-/// becomes true, or when its data message is delivered (whichever first).
+/// each live slot not covered by a dormancy promise: on_slot (decide) then
+/// on_feedback (observe the resolved slot). The simulator drops the job at
+/// its deadline, when `done()` becomes true, or when its data message is
+/// delivered (whichever first).
 class Protocol {
  public:
   virtual ~Protocol() = default;
@@ -130,8 +134,10 @@ class Protocol {
   /// Optional dormancy promise for the fast-forward engine (see
   /// DormantSpan). Called only under SimConfig::fast_forward, between the
   /// activation/retire phases and the decision phase, with the same view
-  /// on_slot would receive. The default — no promise — is always safe and
-  /// makes fast-forward a provable no-op for this protocol.
+  /// on_slot would receive — and only for a job that just activated, just
+  /// woke from a promise, or declared sleep in its last on_slot. The
+  /// default — no promise — is always safe and makes fast-forward a
+  /// provable no-op for this protocol.
   [[nodiscard]] virtual DormantSpan dormant_span(const SlotView& view) const {
     (void)view;
     return {};

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -161,24 +162,23 @@ struct Simulation::Impl {
   std::vector<std::int64_t> tx_count;
   // Radio-energy accounting (DESIGN.md §6k): slots spent listening (awake
   // without transmitting). Sleep slots are the remainder of live_slot_count;
-  // fast-forwarded dormant spans add nothing here — a dormant span is
-  // exactly a sleep span, so skipped slots batch-account zero awake slots,
-  // which is what makes the energy counters bit-identical across
-  // --fast-forward modes.
+  // parked slots add nothing here — a dormant span is exactly a sleep span,
+  // so they account zero awake slots, which is what makes the energy
+  // counters bit-identical across --fast-forward modes.
   std::vector<std::int64_t> listen_count;
   // Last observed radio state (1 = awake) per job, for kRadioSleep /
   // kRadioWake transition events. Jobs activate awake (radio on at
-  // power-up); a fast-forward skip puts every live job to sleep at the
-  // skip's first slot, exactly where slot-by-slot simulation would.
+  // power-up); parking puts a job to sleep at its park slot, exactly where
+  // slot-by-slot simulation would.
   std::vector<std::uint8_t> prev_awake;
   // Multichannel (k > 1 only): each job's channel and collision count.
   std::vector<std::uint8_t> chan;
   std::vector<std::uint32_t> coll_count;
-  // Fast-forward promise cache: absolute slot the job's dormancy promise
-  // expires (0 = none cached) and the constant probability it declared.
-  // Re-querying dormant_span only for expired entries keeps the skip check
-  // at one virtual call per job per *promise*, not per skip.
-  std::vector<Slot> ff_until;
+  // Wake scheduling (DESIGN.md §6j): a parked job's wake slot (0 = awake)
+  // and the constant probability its dormancy promise declared. While a job
+  // is parked its live_slot_count holds (count - park slot); unpark() and
+  // settle_parked() add the slot back.
+  std::vector<Slot> wake_at;
   std::vector<double> ff_prob;
 
   // --- Cold per-job state. ---
@@ -193,6 +193,24 @@ struct Simulation::Impl {
 
   std::vector<JobId> live;        // ids of live jobs
   std::size_t next_pending = 0;   // batch: first job not yet activated
+
+  // Wake scheduler state (only used when ff_enabled). Every parked job has
+  // exactly one entry in a min-heap on (wake slot, id); a stepped slot
+  // visits only the awake set.
+  struct Wake {
+    Slot slot;
+    JobId id;
+  };
+  std::vector<Wake> wake_heap;
+  /// Live, unparked jobs; may hold retired ids until park_promised()
+  /// filters them out.
+  std::vector<JobId> awake_set;
+  /// Awake jobs to offer dormant_span this slot: just activated, just
+  /// unparked, or declared sleep in their last on_slot.
+  std::vector<JobId> ask;
+  /// Sum of ff_prob over the parked jobs, exact in fixed point.
+  ContentionTotal sleepers;
+
   Slot now = 0;
   Slot horizon = 0;
   bool finished = false;
@@ -279,6 +297,9 @@ struct Simulation::Impl {
     if (live_flag[i] == 0) {
       return;
     }
+    // Only awake jobs retire: a parked job wakes by its deadline, cannot
+    // transmit, and promised done() stays false.
+    assert(wake_at[i] == 0);
     CRMD_TRACE(config.tracer, obs::EventKind::kJobRetire, now, id,
                results[i].success ? 1 : 0);
     live_flag[i] = 0;
@@ -346,7 +367,7 @@ struct Simulation::Impl {
     dark.push_back(0);
     transmitted.push_back(0);
     asleep.push_back(0);
-    ff_until.push_back(0);
+    wake_at.push_back(0);
     ff_prob.push_back(0.0);
     if (config.multichannel.channels > 1) {
       chan.push_back(static_cast<std::uint8_t>(
@@ -362,6 +383,7 @@ struct Simulation::Impl {
     CRMD_TRACE(config.tracer, obs::EventKind::kJobActivate, now, id,
                spec.release, spec.deadline);
     p->on_activate(info);
+    mark_awake(id);
   }
 
   // Streaming: erases the dead prefix of every per-job array once it is
@@ -393,7 +415,7 @@ struct Simulation::Impl {
     erase_prefix(dark);
     erase_prefix(transmitted);
     erase_prefix(asleep);
-    erase_prefix(ff_until);
+    erase_prefix(wake_at);
     erase_prefix(ff_prob);
     erase_prefix(results);
     if (config.multichannel.channels > 1) {
@@ -404,22 +426,166 @@ struct Simulation::Impl {
     dead_prefix = 0;
   }
 
-  // kValidate: simulates the k slots a skip is about to cover in stripped
-  // form — on_slot plus silent feedback for every live job, exactly the
-  // calls the real engine would make on a silent slot under every
+  [[nodiscard]] bool is_live(JobId id) const noexcept {
+    return id >= base_id && live_flag[ix(id)] != 0;
+  }
+
+  // --- Wake scheduling (DESIGN.md §6j) ---------------------------------
+  // Under fast-forward, a job whose dormancy promise covers the next slots
+  // is parked: it leaves the awake set and gets no on_slot, on_feedback or
+  // done() call until its wake slot, so a stepped slot costs O(awake). When
+  // the awake set is empty every live job is parked, and the engine skips
+  // straight to the next wake, arrival or the horizon (skip_dormant).
+
+  static bool later(const Wake& a, const Wake& b) noexcept {
+    return a.slot != b.slot ? a.slot > b.slot : a.id > b.id;
+  }
+
+  // A job that activates or wakes joins the awake set and is offered
+  // dormant_span.
+  void mark_awake(JobId id) {
+    if (ff_enabled) {
+      awake_set.push_back(id);
+      ask.push_back(id);
+    }
+  }
+
+  void park(JobId id, const DormantSpan& span) {
+    const std::size_t i = ix(id);
+    // Clamped to the deadline, so a parked job always wakes before it
+    // expires and only awake jobs ever retire.
+    const Slot wake = std::min(now + span.slots, deadline[i]);
+    wake_at[i] = wake;
+    ff_prob[i] = span.prob;
+    sleepers.add(span.prob);
+    live_slot_count[i] -= now;
+    wake_heap.push_back(Wake{wake, id});
+    std::push_heap(wake_heap.begin(), wake_heap.end(), later);
+    if (prev_awake[i] != 0) {
+      CRMD_TRACE(config.tracer, obs::EventKind::kRadioSleep, now, id,
+                 now - release[i], 0, 0.0, "sleep");
+      prev_awake[i] = 0;
+    }
+  }
+
+  // Ends job i's park at `slot`, settling its live slots [park, slot).
+  void unpark(std::size_t i, Slot slot) {
+    live_slot_count[i] += slot;
+    wake_at[i] = 0;
+    sleepers.remove(ff_prob[i]);
+  }
+
+  // Returns every job whose wake slot has come to the awake set.
+  void wake_due() {
+    while (!wake_heap.empty() && wake_heap.front().slot <= now) {
+      std::pop_heap(wake_heap.begin(), wake_heap.end(), later);
+      const Wake w = wake_heap.back();
+      wake_heap.pop_back();
+      assert(w.slot == now && is_live(w.id));
+      unpark(ix(w.id), w.slot);
+      mark_awake(w.id);
+    }
+  }
+
+  // Offers dormant_span to this slot's ask list and parks every job that
+  // promises, then drops parked and retired jobs from the awake set. Jobs
+  // that listened in their last slot are never asked — a promise requires
+  // sleep — so always-listening protocols cost no dormant_span calls.
+  void park_promised() {
+    for (const JobId id : ask) {
+      if (!is_live(id)) {
+        continue;
+      }
+      const std::size_t i = ix(id);
+      const DormantSpan span =
+          proto[i]->dormant_span(SlotView{now - release[i], now});
+      if (span.slots > 0) {
+        park(id, span);
+      }
+    }
+    ask.clear();
+    // With nothing parked the awake set is only read as "non-empty", so
+    // retired ids are filtered lazily, once they could double its size.
+    if (!wake_heap.empty() || awake_set.size() > 2 * live.size()) {
+      std::erase_if(awake_set, [this](JobId id) {
+        return !is_live(id) || wake_at[ix(id)] != 0;
+      });
+    }
+  }
+
+  // The jobs a stepped slot visits, in live order: all of `live` while
+  // nothing is parked (always under kOff), else the awake set sorted by
+  // live position. Transmissions, capture draws, retirements and trace
+  // events therefore come in kOff's order.
+  std::span<const JobId> visit_set() {
+    if (wake_heap.empty()) {
+      return live;
+    }
+    std::sort(awake_set.begin(), awake_set.end(), [this](JobId a, JobId b) {
+      return live_pos[ix(a)] < live_pos[ix(b)];
+    });
+    return awake_set;
+  }
+
+  // Global fast-forward, the empty-awake-set case: every live job is
+  // parked, so the slots up to the next wake, arrival or the horizon are
+  // provably silent. They are accounted exactly as if simulated — slot
+  // counts, silence counts, live job-slots, the obs::Timeline buckets —
+  // with the parked jobs' constant contention; live slots settle lazily.
+  void skip_dormant() {
+    Slot until = std::min(horizon, wake_heap.front().slot);
+    if (streaming()) {
+      if (pending_spec) {
+        until = std::min(until, pending_spec->release);
+      }
+    } else if (next_pending < job_count()) {
+      until = std::min(until, release[next_pending]);
+    }
+    const Slot span = until - now;
+    if (config.fast_forward == FastForward::kValidate) {
+      validate_parked(span);
+    }
+    const double contention = sleepers.value();
+    metrics.slots_simulated += span;
+    metrics.silent_slots += span;
+    metrics.fast_forward_slots += span;
+    metrics.contention.add_run(contention, static_cast<std::size_t>(span));
+    metrics.live_peak = std::max<std::int64_t>(
+        metrics.live_peak, static_cast<std::int64_t>(live.size()));
+    metrics.live_job_slots += span * static_cast<std::int64_t>(live.size());
+    CRMD_TRACE(config.tracer, obs::EventKind::kIdleSkip, now, kNoJob, span,
+               static_cast<std::int64_t>(live.size()), contention,
+               "idle-skip");
+    now = until;
+  }
+
+  // Settles the live slots of jobs still parked when the run ends.
+  void settle_parked() {
+    for (const Wake& w : wake_heap) {
+      unpark(ix(w.id), now);
+    }
+    wake_heap.clear();
+  }
+
+  // kValidate: simulates the `span` slots from `now` in stripped form for
+  // every parked job — on_slot plus silent feedback, exactly the calls
+  // slot-by-slot simulation makes on a sleeper under every
   // fast-forward-eligible feedback model — and throws if any protocol
   // breaks its dormancy promise. State advances identically either way
   // (the promise says silent slots are state no-ops), so kValidate and kOn
   // produce bit-identical results; this is the checked proof of that.
-  void validate_skip(Slot span, double expect_contention) {
+  void validate_parked(Slot span) {
     SlotFeedback silent;
     silent.outcome = SlotOutcome::kSilence;
     silent.message.reset();
     for (Slot t = 0; t < span; ++t) {
       const Slot slot = now + t;
-      double contention = 0.0;
+      ContentionTotal contention;
       for (const JobId id : live) {
         const std::size_t i = ix(id);
+        if (wake_at[i] == 0) {
+          continue;
+        }
         const SlotView view{slot - release[i], slot};
         const SlotAction action = proto[i]->on_slot(view);
         if (action.transmit || action.declared_prob != ff_prob[i]) {
@@ -428,25 +594,28 @@ struct Simulation::Impl {
               "in on_slot (transmitted or changed its declared probability)");
         }
         if (!action.sleep) {
-          // A dormant span is exactly a sleep span (DESIGN.md §6k): the
-          // batch energy accounting of a skip charges zero awake slots, so
-          // a protocol that promises dormancy while listening would make
-          // the energy counters diverge between --fast-forward modes.
+          // A dormant span is exactly a sleep span (DESIGN.md §6k): parked
+          // slots account zero awake slots, so a protocol that promises
+          // dormancy while listening would make the energy counters
+          // diverge between --fast-forward modes.
           throw std::logic_error(
               "fast-forward validate: a protocol promised dormancy without "
-              "declaring sleep (the skipped slots would be accounted as "
+              "declaring sleep (the parked slots would be accounted as "
               "asleep, but slot-by-slot simulation would count them as "
               "listening)");
         }
-        contention += action.declared_prob;
+        contention.add(action.declared_prob);
       }
-      if (contention != expect_contention) {
+      if (contention != sleepers) {
         throw std::logic_error(
             "fast-forward validate: per-slot contention diverged from the "
-            "promised constant");
+            "parked jobs' promised total");
       }
       for (const JobId id : live) {
         const std::size_t i = ix(id);
+        if (wake_at[i] == 0) {
+          continue;
+        }
         const SlotView view{slot - release[i], slot};
         proto[i]->on_feedback(view, silent);
         if (proto[i]->done()) {
@@ -460,18 +629,21 @@ struct Simulation::Impl {
 
   // Single-channel decision -> resolve -> feedback -> record -> credit
   // pipeline: the engine's historical hot path, byte-for-byte the same
-  // operation order as ever (ix() is the identity in batch mode).
-  void step_single(std::int64_t faults_before) {
+  // operation order as ever (ix() is the identity in batch mode). It visits
+  // only `visit` (see visit_set); parked jobs get no calls and their
+  // constant contention enters through `sleepers`.
+  void step_single(std::int64_t faults_before,
+                   std::span<const JobId> visit) {
     // Decision phase. A skewed job sees its perceived (slipped-ahead) slot
     // indices; a dark job is skipped entirely (no on_slot, no feedback).
     // Radio-state accounting (DESIGN.md §6k) rides along: a transmitter is
     // awake by definition, a non-transmitter is listening unless it
     // declared sleep, and a dark job's radio is off (crashed, not asleep).
     transmissions.clear();
-    double contention = 0.0;
+    double contention = sleepers.value();  // 0.0 while nothing is parked
     std::int64_t tx_this_slot = 0;
     std::int64_t listen_this_slot = 0;
-    for (const JobId id : live) {
+    for (const JobId id : visit) {
       const std::size_t i = ix(id);
       ++live_slot_count[i];
       if (injector != nullptr && dark[i] != 0) {
@@ -492,6 +664,9 @@ struct Simulation::Impl {
                    now, id, now - release[i], 0, 0.0,
                    awake ? "wake" : "sleep");
         prev_awake[i] = awake ? 1 : 0;
+      }
+      if (ff_enabled && !awake) {
+        ask.push_back(id);
       }
       if (action.transmit) {
         transmissions.push_back(Transmission{id, action.message});
@@ -640,7 +815,7 @@ struct Simulation::Impl {
         transmitted[ix(capture_winner)] = 0;
       }
     }
-    for (const JobId id : live) {
+    for (const JobId id : visit) {
       const std::size_t i = ix(id);
       if (injector != nullptr && dark[i] != 0) {
         continue;
@@ -657,8 +832,9 @@ struct Simulation::Impl {
         // and fault metrics are untouched — a protocol that declares sleep
         // honestly (its state was feedback-independent anyway) behaves
         // bit-identically; one that lies sleeps through real cues instead
-        // of silently under-reporting energy. on_feedback is still called:
-        // it is the protocol's timer tick.
+        // of silently under-reporting energy. on_feedback is still called
+        // (it is the protocol's timer tick) — except for parked jobs, whose
+        // dormancy promise makes the silent tick a no-op.
         perceived.outcome = SlotOutcome::kSilence;
         perceived.message.reset();
       }
@@ -718,7 +894,7 @@ struct Simulation::Impl {
       results[ix(winner)].success_slot = now;
       to_retire.push_back(winner);
     }
-    for (const JobId id : live) {
+    for (const JobId id : visit) {
       if (proto[ix(id)]->done() &&
           (to_retire.empty() || to_retire.front() != id)) {
         to_retire.push_back(id);
@@ -1036,8 +1212,15 @@ Simulation::Simulation(workload::Instance instance,
   s.dark.assign(n, 0);
   s.transmitted.assign(n, 0);
   s.asleep.assign(n, 0);
-  s.ff_until.assign(n, 0);
+  s.wake_at.assign(n, 0);
   s.ff_prob.assign(n, 0.0);
+  if (s.ff_enabled) {
+    // Sized once: a burst parks every job, and doubling growth would leave
+    // the outgrown buffers resident.
+    s.wake_heap.reserve(n);
+    s.awake_set.reserve(n);
+    s.ask.reserve(n);
+  }
   if (s.config.multichannel.channels > 1) {
     s.chan.reserve(n);
     s.coll_count.assign(n, 0);
@@ -1200,12 +1383,17 @@ bool Simulation::step() {
         info.deadline = s.deadline[id];
         info.caps = s.caps;
         s.proto[id]->on_activate(info);
+        s.mark_awake(id);
       } else {
         // Window already over (degenerate horizon cases); never activates.
         s.destroy_at(id);
       }
       ++s.next_pending;
     }
+  }
+
+  if (s.ff_enabled) {
+    s.wake_due();
   }
 
   // Retire jobs whose deadline has arrived (window is [release, deadline)).
@@ -1238,75 +1426,20 @@ bool Simulation::step() {
     }
   }
 
-  // Event-driven fast-forward (DESIGN.md §6j): when every live job holds a
-  // dormancy promise, the whole run of provably-silent slots up to the
-  // nearest "event" — a promise expiry, a deadline, the next arrival, or
-  // the horizon — is accounted in one batch and `now` jumps across it.
-  // Checked after activation/retirement (so the live set is current) and
-  // before the fault phase (fast-forward and faults are mutually
-  // exclusive; see Impl::ff_enabled).
-  if (s.ff_enabled && s.freeze_left == 0 && !s.observer) {
-    Slot bound = s.horizon - s.now;
-    if (s.streaming()) {
-      if (s.pending_spec) {
-        bound = std::min(bound, s.pending_spec->release - s.now);
-      }
-    } else if (s.next_pending < s.job_count()) {
-      bound = std::min(bound, s.release[s.next_pending] - s.now);
-    }
-    double contention = 0.0;
-    for (const JobId id : s.live) {
-      const std::size_t i = s.ix(id);
-      bound = std::min(bound, s.deadline[i] - s.now);
-      if (s.ff_until[i] <= s.now) {
-        const SlotView view{s.now - s.release[i], s.now};
-        const DormantSpan span = s.proto[i]->dormant_span(view);
-        if (span.slots <= 0) {
-          bound = 0;  // no promise — this slot must be simulated
-          break;
-        }
-        s.ff_until[i] = s.now + span.slots;
-        s.ff_prob[i] = span.prob;
-      }
-      bound = std::min(bound, s.ff_until[i] - s.now);
-      contention += s.ff_prob[i];
-    }
-    if (bound >= 1) {
-      if (s.config.fast_forward == FastForward::kValidate) {
-        s.validate_skip(bound, contention);
-      }
-      // Account the skipped slots exactly as if simulated: every one is a
-      // silent slot with the promised constant contention and the current
-      // live set.
-      s.metrics.slots_simulated += bound;
-      s.metrics.silent_slots += bound;
-      s.metrics.fast_forward_slots += bound;
-      s.metrics.contention.add_run(contention,
-                                   static_cast<std::size_t>(bound));
-      s.metrics.live_peak = std::max<std::int64_t>(
-          s.metrics.live_peak, static_cast<std::int64_t>(s.live.size()));
-      s.metrics.live_job_slots +=
-          bound * static_cast<std::int64_t>(s.live.size());
-      // Energy batching (DESIGN.md §6k): a dormant span is exactly a sleep
-      // span, so the skipped slots add zero awake/listen/transmit job-slots
-      // — the same zero the slot-by-slot engine would tally, since
-      // validate_skip proves every promised slot declares sleep. Jobs that
-      // were awake go to sleep at the skip's first slot, exactly where
-      // slot-by-slot simulation would emit the transition.
-      for (const JobId id : s.live) {
-        const std::size_t i = s.ix(id);
-        s.live_slot_count[i] += bound;
-        if (s.prev_awake[i] != 0) {
-          CRMD_TRACE(s.config.tracer, obs::EventKind::kRadioSleep, s.now, id,
-                     s.now - s.release[i], 0, 0.0, "sleep");
-          s.prev_awake[i] = 0;
-        }
-      }
-      CRMD_TRACE(s.config.tracer, obs::EventKind::kIdleSkip, s.now, kNoJob,
-                 bound, static_cast<std::int64_t>(s.live.size()), contention,
-                 "idle-skip");
-      s.now += bound;
+  // Wake scheduling (DESIGN.md §6j): park the jobs that promise dormancy;
+  // with nobody awake, skip to the next event. Runs after activation and
+  // retirement (so the live set is current) and before the fault phase
+  // (fast-forward and faults are mutually exclusive; see Impl::ff_enabled).
+  // A collision-cost freeze or an observer needs the slot stepped.
+  if (s.ff_enabled) {
+    s.park_promised();
+    if (s.awake_set.empty() && s.freeze_left == 0 && !s.observer) {
+      s.skip_dormant();
       return !s.finished;
+    }
+    if (s.config.fast_forward == FastForward::kValidate &&
+        !s.wake_heap.empty()) {
+      s.validate_parked(1);
     }
   }
 
@@ -1352,7 +1485,7 @@ bool Simulation::step() {
   if (s.config.multichannel.channels > 1) {
     s.step_multi(faults_before);
   } else {
-    s.step_single(faults_before);
+    s.step_single(faults_before, s.visit_set());
   }
 
   ++s.now;
@@ -1371,6 +1504,7 @@ SimResult Simulation::finish() {
   while (step()) {
   }
   Impl& s = *impl_;
+  s.settle_parked();
   SimResult result;
   if (s.streaming()) {
     // Fold jobs still live at the horizon (never retired — matching batch

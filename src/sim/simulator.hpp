@@ -28,7 +28,8 @@
 /// turn the slot into noise; (6) every live, non-dark job observes the
 /// feedback — filtered per listener through the fault injector; (7) jobs
 /// that delivered their data message, report done(), or hit their deadline
-/// leave the live set. Idle gaps with no live jobs are skipped in O(1).
+/// leave the live set. Idle gaps with no live jobs are skipped in O(1);
+/// under FastForward, so are runs in which every live job is dormant.
 /// Success crediting always uses the *true* channel outcome; faults perturb
 /// only what protocols perceive.
 ///
@@ -48,27 +49,29 @@ namespace crmd::sim {
 
 class ArrivalProcess;
 
-/// Event-driven fast-forward policy (DESIGN.md §6j). With `kOn`, whenever
-/// every live job holds a dormancy promise (Protocol::dormant_span) the
-/// engine jumps `now` across the whole provably-silent run in O(live),
-/// accounting the skipped slots exactly as if simulated: slot counts,
-/// silence counts, per-job live-slot counters, and the obs::Timeline
-/// buckets all match; the contention distribution matches in count, min,
-/// max, and (up to floating-point reassociation of the Welford update)
-/// mean/variance. `kValidate` finds the same skips but then simulates every
-/// skipped slot in stripped form, throwing std::logic_error if any protocol
-/// breaks its promise — its results are bit-identical to `kOn` by
+/// Event-driven fast-forward policy (DESIGN.md §6j). With `kOn`, a job
+/// holding a dormancy promise (Protocol::dormant_span) is parked until the
+/// promise ends and gets no protocol calls meanwhile, so a stepped slot
+/// costs O(awake jobs), not O(live). When no job is awake, the engine jumps
+/// `now` to the next wake, arrival or the horizon in O(1), accounting the
+/// skipped slots exactly as if simulated. Job results, every integer
+/// metric and the obs::Timeline buckets match `kOff`; the contention
+/// distribution matches in count, min and max, and its mean/variance may
+/// differ in the last bits (parked jobs' contention is summed in exact
+/// fixed point). `kValidate` parks and skips the same way but simulates
+/// every parked job-slot in stripped form, throwing std::logic_error if any
+/// protocol breaks its promise — its results are bit-identical to `kOn` by
 /// construction, which is what tests/test_fast_forward.cpp pins.
 ///
 /// Fast-forward silently disables itself (exactly `kOff` behavior) when the
-/// run has per-slot randomness or per-slot artifacts a skip cannot
-/// reproduce: a jammer, any fault plan, the noisy feedback model with
-/// eps > 0, record_slots, or multiple channels. A SlotObserver suppresses
-/// skips while installed.
+/// run has per-slot randomness or per-slot artifacts it cannot reproduce:
+/// a jammer, any fault plan, the noisy feedback model with eps > 0,
+/// record_slots, or multiple channels. A SlotObserver suppresses skips (not
+/// parking) while installed.
 enum class FastForward {
   kOff,       ///< never skip (the default; bit-identical to the pre-FF engine)
-  kOn,        ///< skip provably-silent runs in O(live)
-  kValidate,  ///< skip, but re-simulate skipped slots and check the promises
+  kOn,        ///< park dormant jobs; skip when none is awake
+  kValidate,  ///< as kOn, but re-simulate parked job-slots, check promises
 };
 
 /// One-line usage text for --fast-forward error messages.
@@ -156,9 +159,9 @@ struct SimConfig {
   /// protocol emits its state-machine events (see obs/events.hpp).
   obs::Tracer* tracer = nullptr;
 
-  /// Event-driven fast-forward across provably-silent runs of slots (see
-  /// FastForward). The default kOff is bit-identical to the pre-FF engine:
-  /// no dormant_span call is ever made.
+  /// Per-job wake scheduling and fast-forward across provably-silent runs
+  /// of slots (see FastForward). The default kOff is bit-identical to the
+  /// pre-FF engine: no dormant_span call is ever made.
   FastForward fast_forward = FastForward::kOff;
 
   /// Multi-channel scenario (see MultiChannelConfig). The default single

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/arrivals.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "workload/instance.hpp"
 
@@ -29,7 +30,7 @@ std::optional<ArrivalSpec> parse_quiet(const std::string& spec) {
 class TempTrace {
  public:
   explicit TempTrace(const std::string& body) {
-    path_ = testing::TempDir() + "crmd_arrivals_trace.csv";
+    path_ = test::unique_temp_path("arrivals_trace.csv");
     std::ofstream out(path_);
     out << body;
   }

@@ -1,21 +1,26 @@
 // Event-driven fast-forward correctness (DESIGN.md §6j). The contract under
 // test: FastForward::kOn is bit-identical to kValidate (which re-simulates
-// every skipped slot in stripped form and throws std::logic_error on any
+// every parked job-slot in stripped form and throws std::logic_error on any
 // broken dormancy promise), kOn preserves every job outcome and integer
-// metric of the slot-by-slot kOff engine, protocols without a promise and
-// runs with per-slot randomness degrade to exact kOff behavior, and the
-// streaming (arrival-process) engine is bit-identical to the batch engine
-// on the same job set — including under forced compaction.
+// metric of the slot-by-slot kOff engine, a kOn run makes O(awake)
+// protocol calls, protocols without a promise and runs with per-slot
+// randomness degrade to exact kOff behavior, and the streaming
+// (arrival-process) engine is bit-identical to the batch engine on the
+// same job set — including under forced compaction.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/beb.hpp"
+#include "baselines/energy_beb.hpp"
 #include "baselines/sawtooth.hpp"
 #include "core/params.hpp"
 #include "core/uniform.hpp"
@@ -188,6 +193,217 @@ TEST(FastForward, OnPreservesSlotBySlotResults) {
                 1e-9)
         << f.name;
   }
+}
+
+/// Digest over everything kOn must share with kOff: jobs bitwise (every
+/// JobResult field) and every integer metric except fast_forward_slots,
+/// which only kOn accumulates. Contention is left out: kOn sums the parked
+/// jobs in exact fixed point, so its double bits may differ from kOff's.
+std::uint64_t outcome_digest(const SimResult& r) {
+  std::uint64_t h = 0x4F55544FULL;  // "OUTO"
+  h = mix(h, r.jobs.size());
+  for (const JobResult& j : r.jobs) {
+    for (const std::int64_t v :
+         {static_cast<std::int64_t>(j.id), j.release, j.deadline,
+          static_cast<std::int64_t>(j.success), j.success_slot,
+          j.transmissions, j.live_slots, j.dark_slots, j.listen_slots}) {
+      h = mix(h, static_cast<std::uint64_t>(v));
+    }
+  }
+  const SimMetrics& m = r.metrics;
+  for (const std::int64_t v :
+       {m.slots_simulated, m.slots_skipped, m.live_peak, m.silent_slots,
+        m.success_slots, m.noise_slots, m.jammed_slots, m.data_successes,
+        m.control_successes, m.start_successes, m.claim_successes,
+        m.timekeeper_successes, m.faults_injected, m.dark_job_slots,
+        m.live_job_slots, m.feedback_flips, m.slots_awake,
+        m.slots_listening, m.slots_transmitting, m.capture_wins,
+        m.collision_cost_slots}) {
+    h = mix(h, static_cast<std::uint64_t>(v));
+  }
+  h = mix(h, m.contention.count());
+  return h;
+}
+
+std::vector<Factory> scheduled_factories() {
+  std::vector<Factory> out = promising_factories();
+  out.push_back({"energy_beb", baselines::make_energy_beb_factory({})});
+  return out;
+}
+
+// Per-job wake scheduling on an overlapping burst, where parked and awake
+// jobs share most slots: kOn visits only the awake jobs, in live order, and
+// settles parked jobs' live slots lazily — so every job result and every
+// integer metric must equal the slot-by-slot kOff run exactly, under every
+// fast-forward-eligible feedback model and collision cost.
+TEST(WakeScheduling, OnMatchesOffOnOverlappingBurst) {
+  const workload::Instance burst = workload::gen_batch(256, 4096);
+  for (const Factory& f : scheduled_factories()) {
+    for (const auto& [fb_name, feedback] : feedback_models()) {
+      for (const int cost : {1, 3}) {
+        const SimResult off =
+            run_with(burst, f.factory, FastForward::kOff, feedback, cost);
+        const SimResult on =
+            run_with(burst, f.factory, FastForward::kOn, feedback, cost);
+        EXPECT_EQ(outcome_digest(on), outcome_digest(off))
+            << f.name << "/" << fb_name << "/cost=" << cost;
+      }
+    }
+  }
+}
+
+/// Counts the calls the engine makes into the protocols it wraps.
+struct CallCounts {
+  std::int64_t on_slot = 0;
+  std::int64_t parks = 0;  // dormant_span calls that returned a promise
+};
+
+class CountingProtocol final : public Protocol {
+ public:
+  CountingProtocol(std::unique_ptr<Protocol> inner, CallCounts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+  void on_activate(const JobInfo& info) override { inner_->on_activate(info); }
+  SlotAction on_slot(const SlotView& view) override {
+    ++counts_->on_slot;
+    return inner_->on_slot(view);
+  }
+  void on_feedback(const SlotView& view, const SlotFeedback& fb) override {
+    inner_->on_feedback(view, fb);
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+  [[nodiscard]] DormantSpan dormant_span(const SlotView& view) const override {
+    const DormantSpan span = inner_->dormant_span(view);
+    if (span.slots > 0) {
+      ++counts_->parks;
+    }
+    return span;
+  }
+
+ private:
+  std::unique_ptr<Protocol> inner_;
+  CallCounts* counts_;
+};
+
+ProtocolFactory counting_factory(const ProtocolFactory& inner,
+                                 CallCounts* counts) {
+  return [inner, counts](const JobInfo& info, util::Rng rng) {
+    return std::make_unique<CountingProtocol>(inner(info, std::move(rng)),
+                                              counts);
+  };
+}
+
+// O(awake) as a machine-independent property: kOn calls on_slot in a job's
+// awake slots and, after a failed attempt, in the one sleeping slot before
+// the job is offered dormant_span again and parks — so awake job-slots plus
+// parks bound the calls. kOff, for contrast, calls it in every live
+// job-slot.
+TEST(WakeScheduling, OnSlotCallsTrackAwakeSlots) {
+  const workload::Instance burst = workload::gen_batch(256, 4096);
+  for (const Factory& f : scheduled_factories()) {
+    for (const auto& [fb_name, feedback] : feedback_models()) {
+      for (const int cost : {1, 3}) {
+        CallCounts off_counts;
+        const SimResult off =
+            run_with(burst, counting_factory(f.factory, &off_counts),
+                     FastForward::kOff, feedback, cost);
+        EXPECT_EQ(off_counts.on_slot, off.metrics.live_job_slots);
+        EXPECT_EQ(off_counts.parks, 0);
+
+        CallCounts on_counts;
+        const SimResult on =
+            run_with(burst, counting_factory(f.factory, &on_counts),
+                     FastForward::kOn, feedback, cost);
+        EXPECT_GT(on_counts.parks, 0) << f.name;
+        EXPECT_LE(on_counts.on_slot,
+                  on.metrics.slots_awake + on_counts.parks)
+            << f.name << "/" << fb_name << "/cost=" << cost;
+        EXPECT_EQ(on.metrics.slots_awake, off.metrics.slots_awake);
+      }
+    }
+  }
+}
+
+// The parked jobs' contention total is exact: parking and unparking any
+// multiset of probabilities, in any order, returns it to exactly zero —
+// which a double running total would not after 10^5 updates.
+TEST(WakeScheduling, SleeperTotalReturnsToExactZero) {
+  util::Rng rng(2026);
+  std::vector<double> probs(100000);
+  for (double& p : probs) {
+    p = rng.next_double();
+  }
+  ContentionTotal total;
+  double naive = 0.0;
+  std::vector<double> parked;
+  for (const double p : probs) {
+    total.add(p);
+    naive += p;
+    parked.push_back(p);
+    // Interleave: unpark a random parked job about every third park.
+    if (rng.below(3) == 0) {
+      const std::size_t k = static_cast<std::size_t>(
+          rng.below(static_cast<std::uint64_t>(parked.size())));
+      total.remove(parked[k]);
+      naive -= parked[k];
+      parked[k] = parked.back();
+      parked.pop_back();
+    }
+  }
+  EXPECT_GT(total.value(), 0.0);
+  for (std::size_t k = parked.size(); k-- > 0;) {
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.below(static_cast<std::uint64_t>(k + 1)));
+    std::swap(parked[pick], parked[k]);
+    total.remove(parked[k]);
+    naive -= parked[k];
+  }
+  EXPECT_EQ(total, ContentionTotal{});
+  EXPECT_EQ(total.value(), 0.0);
+  // A double running total only ends near zero.
+  EXPECT_LT(std::abs(naive), 1e-6);
+}
+
+/// Promises dormancy forever but transmits at since_release == 3.
+class BrokenPromiseProtocol final : public Protocol {
+ public:
+  void on_activate(const JobInfo& info) override { info_ = info; }
+  SlotAction on_slot(const SlotView& view) override {
+    SlotAction action;
+    action.sleep = true;
+    if (view.since_release == 3) {
+      action.transmit = true;
+      action.message = make_data(info_.id);
+    }
+    return action;
+  }
+  void on_feedback(const SlotView&, const SlotFeedback&) override {}
+  [[nodiscard]] bool done() const override { return false; }
+  [[nodiscard]] DormantSpan dormant_span(const SlotView&) const override {
+    return {64, 0.0};
+  }
+
+ private:
+  JobInfo info_;
+};
+
+// kValidate checks parked jobs on stepped slots too: job 1 keeps the slots
+// stepped while job 0 is parked across its (broken) promise.
+TEST(WakeScheduling, ValidateCatchesBrokenPromiseWhileOthersAreAwake) {
+  workload::Instance instance;
+  instance.jobs.push_back(workload::JobSpec{0, 32});
+  instance.jobs.push_back(workload::JobSpec{0, 32});
+  const ProtocolFactory factory =
+      [](const JobInfo& info, util::Rng rng) -> std::unique_ptr<Protocol> {
+    if (info.id == 0) {
+      return std::make_unique<BrokenPromiseProtocol>();
+    }
+    return baselines::make_sawtooth_factory()(info, std::move(rng));
+  };
+  EXPECT_THROW(run_with(instance, factory, FastForward::kValidate,
+                        FeedbackModel{}, 1),
+               std::logic_error);
+  EXPECT_NO_THROW(
+      run_with(instance, factory, FastForward::kOn, FeedbackModel{}, 1));
 }
 
 // A protocol without a dormancy promise (sawtooth inherits the no-promise

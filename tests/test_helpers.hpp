@@ -1,9 +1,15 @@
 #pragma once
 
 // Shared helpers for the crmd test suite: a scriptable protocol for driving
-// the simulator deterministically, and small instance builders.
+// the simulator deterministically, small instance builders, and per-test
+// temp-file paths.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -79,6 +85,17 @@ inline workload::Instance instance_of(
     out.jobs.push_back(workload::JobSpec{r, d});
   }
   return out;
+}
+
+/// A temp-file path unique to the running test and process, so tests that
+/// write files never share one under parallel ctest.
+inline std::string unique_temp_path(const std::string& suffix) {
+  const testing::TestInfo& info =
+      *testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info.test_suite_name()) + "." + info.name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return testing::TempDir() + "crmd_" + name + "_" +
+         std::to_string(::getpid()) + "_" + suffix;
 }
 
 }  // namespace crmd::test

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -162,39 +163,45 @@ TEST(JsonlSink, GoldenLineShape) {
 }
 
 TEST(ChromeTraceSink, RendersSpansCountersAndMetadata) {
-  obs::ChromeTraceSink sink("/tmp/crmd_test_chrome_trace.json");
-  auto ev = [](obs::EventKind kind, Slot slot, JobId job, std::int64_t a,
-               std::int64_t b, double x, const char* label) {
-    obs::TraceEvent e;
-    e.kind = kind;
-    e.slot = slot;
-    e.job = job;
-    e.a = a;
-    e.b = b;
-    e.x = x;
-    e.label = label;
-    return e;
-  };
-  sink.on_event(ev(obs::EventKind::kJobActivate, 0, 1, 0, 64, 0, nullptr));
-  sink.on_event(ev(obs::EventKind::kStage, 0, 1, 0, 1, 0, "sync-listen"));
-  sink.on_event(ev(obs::EventKind::kStage, 10, 1, 1, 2, 0, "probe"));
-  sink.on_event(
-      ev(obs::EventKind::kSlotResolved, 5, kNoJob, 0, 2, 1.25, nullptr));
-  sink.on_event(ev(obs::EventKind::kJobRetire, 20, 1, 1, 0, 0, nullptr));
+  // The sink writes its file on destruction, so it lives in a scope that
+  // closes before the file is removed.
+  const std::string path = test::unique_temp_path("chrome_trace.json");
+  {
+    obs::ChromeTraceSink sink(path);
+    auto ev = [](obs::EventKind kind, Slot slot, JobId job, std::int64_t a,
+                 std::int64_t b, double x, const char* label) {
+      obs::TraceEvent e;
+      e.kind = kind;
+      e.slot = slot;
+      e.job = job;
+      e.a = a;
+      e.b = b;
+      e.x = x;
+      e.label = label;
+      return e;
+    };
+    sink.on_event(ev(obs::EventKind::kJobActivate, 0, 1, 0, 64, 0, nullptr));
+    sink.on_event(ev(obs::EventKind::kStage, 0, 1, 0, 1, 0, "sync-listen"));
+    sink.on_event(ev(obs::EventKind::kStage, 10, 1, 1, 2, 0, "probe"));
+    sink.on_event(
+        ev(obs::EventKind::kSlotResolved, 5, kNoJob, 0, 2, 1.25, nullptr));
+    sink.on_event(ev(obs::EventKind::kJobRetire, 20, 1, 1, 0, 0, nullptr));
 
-  std::ostringstream out;
-  sink.render(out);
-  const std::string doc = out.str();
-  // Structure: one document object with a traceEvents array.
-  EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-  // Stage spans: sync-listen spans [0, 10), probe closes at retirement.
-  EXPECT_NE(doc.find("\"name\":\"sync-listen\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-  // Contention counter track.
-  EXPECT_NE(doc.find("\"contention\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
-  // Process metadata for tooling.
-  EXPECT_NE(doc.find("process_name"), std::string::npos);
+    std::ostringstream out;
+    sink.render(out);
+    const std::string doc = out.str();
+    // Structure: one document object with a traceEvents array.
+    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
+    // Stage spans: sync-listen spans [0, 10), probe closes at retirement.
+    EXPECT_NE(doc.find("\"name\":\"sync-listen\""), std::string::npos);
+    EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
+    // Contention counter track.
+    EXPECT_NE(doc.find("\"contention\""), std::string::npos);
+    EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
+    // Process metadata for tooling.
+    EXPECT_NE(doc.find("process_name"), std::string::npos);
+  }
+  std::remove(path.c_str());
 }
 
 // ---- LogHistogram ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -50,7 +51,7 @@ TEST(Trace, SaveToFileRoundTrips) {
   SimConfig config;
   config.record_slots = true;
   const auto result = run(instance, test::script_factory({1}), config);
-  const std::string path = "/tmp/crmd_trace_test.csv";
+  const std::string path = test::unique_temp_path("slot_trace.csv");
   ASSERT_TRUE(save_slot_trace_csv(path, result.slots));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -59,6 +60,8 @@ TEST(Trace, SaveToFileRoundTrips) {
   EXPECT_EQ(header,
             "slot,outcome,success_kind,contention,transmitters,live_jobs,"
             "jammed,faults");
+  in.close();
+  std::remove(path.c_str());
 }
 
 TEST(Trace, SaveFailsOnBadPath) {

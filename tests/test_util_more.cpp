@@ -7,6 +7,7 @@
 #include <fstream>
 #include <set>
 
+#include "test_helpers.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -36,7 +37,7 @@ TEST(ArgsMore, EmptyValue) {
 TEST(TableMore, SaveCsvRoundTrip) {
   Table t({"a", "b"});
   t.add_row({"1", "x,y"});
-  const std::string path = "/tmp/crmd_table_test.csv";
+  const std::string path = crmd::test::unique_temp_path("table.csv");
   ASSERT_TRUE(t.save_csv(path));
   std::ifstream in(path);
   std::string line1;
