@@ -1,14 +1,18 @@
 // Microbenchmarks (google-benchmark): raw simulator throughput, RNG, the
-// feasibility checkers, tracker stepping, estimation updates, and trimming.
+// feasibility checkers, tracker stepping, one ALIGNED job-slot, estimation
+// updates, and trimming.
 // These gate performance regressions; they reproduce no paper claim.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "baselines/aloha.hpp"
 #include "core/aligned/estimation.hpp"
+#include "core/aligned/protocol.hpp"
 #include "core/aligned/tracker.hpp"
 #include "core/params.hpp"
 #include "core/punctual/protocol.hpp"
@@ -93,6 +97,61 @@ void BM_TrackerStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrackerStep);
+
+// One ALIGNED job-slot as the engine drives it: on_slot, on_feedback and
+// done() for a class-13 job (window 2^13) with min_class 10, over a fixed
+// mixed outcome stream. The job restarts in a fresh window when it
+// finishes or its window ends, so the estimation and broadcast stages of
+// every tracked class are all in the mix.
+void BM_AlignedSlot(benchmark::State& state) {
+  core::Params p;
+  p.lambda = 2;
+  p.tau = 8;
+  p.min_class = 10;
+  constexpr Slot kWindow = Slot{1} << 13;
+  std::array<sim::SlotOutcome, 4096> outcomes{};
+  util::Rng draw(11);
+  for (sim::SlotOutcome& o : outcomes) {
+    const double roll = draw.next_double();
+    o = roll < 0.1   ? sim::SlotOutcome::kSuccess
+        : roll < 0.4 ? sim::SlotOutcome::kNoise
+                     : sim::SlotOutcome::kSilence;
+  }
+  std::optional<core::aligned::AlignedProtocol> job;
+  Slot release = 0;
+  Slot t = 0;
+  const auto restart = [&] {
+    job.emplace(p, util::Rng(static_cast<std::uint64_t>(release) + 1));
+    sim::JobInfo info;
+    info.id = 0;
+    info.release = release;
+    info.deadline = release + kWindow;
+    job->on_activate(info);
+    t = release;
+  };
+  restart();
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const sim::SlotView view{t - release, t};
+    const sim::SlotAction action = job->on_slot(view);
+    benchmark::DoNotOptimize(action.declared_prob);
+    sim::SlotFeedback fb;
+    fb.outcome = outcomes[k++ & (outcomes.size() - 1)];
+    if (fb.outcome == sim::SlotOutcome::kSuccess) {
+      fb.message = sim::make_control(1);
+    }
+    job->on_feedback(view, fb);
+    ++t;
+    if (job->done() || t == release + kWindow) {
+      state.PauseTiming();
+      release += kWindow;
+      restart();
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AlignedSlot);
 
 void BM_EstimationRecord(benchmark::State& state) {
   core::Params p;

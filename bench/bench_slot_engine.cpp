@@ -10,6 +10,10 @@
 //   burst/ack-aloha  — ACK-only feedback (no collision detection) with many
 //                      transmitters per slot; stresses the per-listener
 //                      "did I transmit" lookup.
+//   burst/aligned    — n ALIGNED jobs in one aligned window: always
+//                      listening, never parked, so every live job runs the
+//                      replicated pecking-order schedule every slot (the
+//                      listening path of the one feedback/retire pass).
 //   stagger/faults   — thousands of jobs but only a handful live per slot,
 //                      with a light fault plan; stresses the per-slot
 //                      scratch-clearing path (dark flags) whose cost must
@@ -26,6 +30,7 @@
 
 #include "baselines/aloha.hpp"
 #include "bench_common.hpp"
+#include "core/aligned/protocol.hpp"
 #include "core/params.hpp"
 #include "core/uniform.hpp"
 #include "sim/simulator.hpp"
@@ -87,6 +92,10 @@ int main(int argc, char** argv) {
   core::Params params;
   params.lambda = 2;
   const auto uniform = core::make_uniform_factory(params);
+  core::Params aligned_params;
+  aligned_params.lambda = 2;
+  aligned_params.tau = 8;
+  const auto aligned = core::aligned::make_aligned_factory(aligned_params);
 
   util::Table table({"scenario", "jobs", "reps", "slots", "wall_ms",
                      "slots_per_sec"});
@@ -124,6 +133,19 @@ int main(int argc, char** argv) {
                                config.tracer = trace.get();
                                return sim::Simulation(
                                    bench::make_workload(burst), aloha,
+                                   config);
+                             }));
+
+    // burst/aligned: the same batch (window 4n is a power of two released
+    // at slot 0, so it is aligned) under ALIGNED.
+    points.push_back(measure("burst/aligned", n, common.reps,
+                             [&](std::uint64_t rep) {
+                               sim::SimConfig config;
+                               config.seed = common.seed + rep;
+                               config.horizon = horizon;
+                               config.tracer = trace.get();
+                               return sim::Simulation(
+                                   bench::make_workload(burst), aligned,
                                    config);
                              }));
 

@@ -54,6 +54,7 @@ BroadcastSchedule::Position BroadcastSchedule::position(
   // Subphase id: λ subphases per earlier phase plus the index here.
   pos.subphase_id =
       static_cast<std::int64_t>(lo) * lambda_ + within_phase / x;
+  pos.phase = lo;
   return pos;
 }
 

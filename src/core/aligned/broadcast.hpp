@@ -41,10 +41,36 @@ class BroadcastSchedule {
     std::int64_t subphase_id = 0;
     /// Offset of this step inside its subphase (0 .. subphase_len-1).
     std::int64_t offset = 0;
+    /// 0-based phase containing this step.
+    std::size_t phase = 0;
+
+    friend bool operator==(const Position&, const Position&) = default;
   };
 
-  /// Maps an active step index to its subphase coordinates.
+  /// Maps an active step index to its subphase coordinates (binary search
+  /// over the phases; the per-slot path walks a cursor with advance()).
   [[nodiscard]] Position position(std::int64_t step) const;
+
+  /// Position of step 0. Requires total_steps() > 0.
+  [[nodiscard]] Position first() const noexcept {
+    return Position{lens_.front(), 0, 0, 0};
+  }
+
+  /// Moves `pos` from step s to step s+1 in O(1); requires
+  /// s + 1 < total_steps(). Every phase holds exactly λ subphases, so the
+  /// subphase id alone tells when the next phase begins.
+  void advance(Position& pos) const noexcept {
+    if (++pos.offset < pos.subphase_len) {
+      return;
+    }
+    pos.offset = 0;
+    ++pos.subphase_id;
+    if (pos.subphase_id ==
+        static_cast<std::int64_t>(pos.phase + 1) * lambda_) {
+      ++pos.phase;
+      pos.subphase_len = lens_[pos.phase];
+    }
+  }
 
   /// Number of phases (decay + equal).
   [[nodiscard]] std::size_t phases() const noexcept { return lens_.size(); }

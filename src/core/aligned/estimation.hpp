@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -32,20 +33,32 @@ class EstimationState {
   EstimationState(const Params& params, int level);
 
   /// True once all λℓ² steps have been observed.
-  [[nodiscard]] bool complete() const noexcept;
+  [[nodiscard]] bool complete() const noexcept { return phase_ > level_; }
 
   /// Active steps observed so far (0 .. λℓ²).
   [[nodiscard]] std::int64_t steps_taken() const noexcept { return steps_; }
 
   /// 1-based phase of the *next* active step. Only valid while !complete().
-  [[nodiscard]] int current_phase() const noexcept;
+  [[nodiscard]] int current_phase() const noexcept { return phase_; }
 
   /// Transmission probability class members use in the next active step
   /// (1/2^phase). Only valid while !complete().
-  [[nodiscard]] double tx_probability() const noexcept;
+  [[nodiscard]] double tx_probability() const noexcept { return prob_; }
 
   /// Observes one active step's outcome and advances.
-  void record(sim::SlotOutcome outcome);
+  void record(sim::SlotOutcome outcome) {
+    assert(!complete());
+    if (outcome == sim::SlotOutcome::kSuccess) {
+      ++successes_[static_cast<std::size_t>(phase_ - 1)];
+    }
+    ++steps_;
+    if (++step_in_phase_ == phase_len_) {
+      // Halving a power of two is exact, so prob_ == 2^-phase_ always.
+      step_in_phase_ = 0;
+      ++phase_;
+      prob_ *= 0.5;
+    }
+  }
 
   /// The estimate n_ℓ = τ·2^j (0 when no phase saw a success). Only valid
   /// once complete().
@@ -59,6 +72,11 @@ class EstimationState {
   std::int64_t phase_len_;
   std::int64_t tau_;
   std::int64_t steps_ = 0;
+  // Phase cursor: the 1-based phase of the next step (level_ + 1 once
+  // complete), the steps already taken inside it, and its probability.
+  int phase_ = 1;
+  std::int64_t step_in_phase_ = 0;
+  double prob_ = 0.5;
   std::vector<std::int64_t> successes_;  // [phase-1]
 };
 

@@ -116,8 +116,7 @@ sim::SlotAction AlignedProtocol::on_slot(const sim::SlotView& view) {
   }
 
   // Broadcast stage: one random slot per subphase.
-  const BroadcastSchedule::Position pos =
-      cls.broadcast->position(cls.broadcast_step);
+  const BroadcastSchedule::Position& pos = cls.position;
   if (pos.subphase_id != current_subphase_) {
     current_subphase_ = pos.subphase_id;
     chosen_offset_ =

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "util/math.hpp"
-
 namespace crmd::core::aligned {
 
 Tracker::Tracker(const Params& params, int min_class, int own_class)
@@ -12,91 +10,57 @@ Tracker::Tracker(const Params& params, int min_class, int own_class)
   classes_.resize(static_cast<std::size_t>(own_class - min_class) + 1);
 }
 
-Tracker::ClassState& Tracker::state(int cls) {
-  assert(cls >= min_class_ && cls <= own_class_);
-  return classes_[static_cast<std::size_t>(cls - min_class_)];
-}
-
-const Tracker::ClassState& Tracker::state(int cls) const {
-  assert(cls >= min_class_ && cls <= own_class_);
-  return classes_[static_cast<std::size_t>(cls - min_class_)];
-}
-
 void Tracker::reset_class(int cls) {
   ClassState& c = state(cls);
   c.estimation.emplace(params_, cls);
   c.broadcast.reset();
   c.broadcast_step = 0;
+  c.position = {};
   c.estimate = -1;
   c.complete = false;
 }
 
-void Tracker::begin_slot(Slot t) {
+void Tracker::apply_resets(Slot t, Slot prev) {
   // Slots may arrive with gaps (clock skew slips the perceived index ahead;
   // crash/stall faults make a job miss slots entirely), but never backwards.
-  assert(t >= 0);
-  assert(!started_ || t > last_slot_);
+  // Class `cls` resets iff a window boundary (multiple of 2^cls) lies in
+  // (prev, t], i.e. t >> cls differs from prev >> cls. A boundary of class
+  // c+1 is also one of class c, so the reset classes form a prefix
+  // min_class..k. On the first call every tracked class starts fresh;
+  // fault-free, the first slot is the owning job's window start — a
+  // boundary for every tracked (smaller) class — and later slots are
+  // consecutive, so this reduces exactly to the textbook "reset when
+  // t % 2^cls == 0" rule.
   const bool first = !started_;
   started_ = true;
-  const Slot prev = last_slot_;
-  last_slot_ = t;
-
   for (int cls = min_class_; cls <= own_class_; ++cls) {
-    // Reset iff a window boundary (multiple of 2^cls) lies in (prev, t].
-    // On the first call every tracked class starts fresh; fault-free, the
-    // first slot is the owning job's window start — a boundary for every
-    // tracked (smaller) class — and later slots are consecutive, so this
-    // reduces exactly to the textbook "reset when t % 2^cls == 0" rule.
-    const Slot w = util::pow2(cls);
-    if (first || t / w > prev / w) {
-      reset_class(cls);
+    if (!first && (t >> cls) == (prev >> cls)) {
+      break;
+    }
+    reset_class(cls);
+  }
+  active_ = min_class_;
+}
+
+void Tracker::advance_active() {
+  for (int cls = active_ + 1; cls <= own_class_; ++cls) {
+    if (!state(cls).complete) {
+      active_ = cls;
+      return;
     }
   }
   active_ = -1;
-  for (int cls = min_class_; cls <= own_class_; ++cls) {
-    if (!state(cls).complete) {
-      active_ = cls;
-      break;
-    }
-  }
 }
 
-void Tracker::end_slot(sim::SlotOutcome outcome) {
-  assert(started_);
-  if (active_ == -1) {
-    return;
+void Tracker::finish_estimation(ClassState& c) {
+  c.estimate = c.estimation->estimate();
+  c.broadcast.emplace(params_, active_, c.estimate);
+  c.estimation.reset();
+  if (c.broadcast->total_steps() == 0) {
+    c.complete = true;  // believed-empty class: nothing to broadcast
+  } else {
+    c.position = c.broadcast->first();
   }
-  ClassState& c = state(active_);
-  assert(!c.complete);
-  if (c.estimation.has_value()) {
-    c.estimation->record(outcome);
-    if (c.estimation->complete()) {
-      c.estimate = c.estimation->estimate();
-      c.broadcast.emplace(params_, active_, c.estimate);
-      c.estimation.reset();
-      if (c.broadcast->total_steps() == 0) {
-        c.complete = true;  // believed-empty class: nothing to broadcast
-      }
-    }
-    return;
-  }
-  assert(c.broadcast.has_value());
-  ++c.broadcast_step;
-  if (c.broadcast_step >= c.broadcast->total_steps()) {
-    c.complete = true;
-  }
-}
-
-Tracker::ClassView Tracker::view(int cls) const {
-  const ClassState& c = state(cls);
-  ClassView v;
-  v.estimating = c.estimation.has_value();
-  v.estimation = c.estimation.has_value() ? &*c.estimation : nullptr;
-  v.broadcast = c.broadcast.has_value() ? &*c.broadcast : nullptr;
-  v.broadcast_step = c.broadcast_step;
-  v.estimate = c.estimate;
-  v.complete = c.complete;
-  return v;
 }
 
 }  // namespace crmd::core::aligned

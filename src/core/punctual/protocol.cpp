@@ -28,6 +28,7 @@ void PunctualProtocol::on_activate(const sim::JobInfo& info) {
     no_cd_blind_ = true;
   } else if (effective_window_ < params_.punctual_min_window) {
     // Degenerate windows cannot afford the round machinery; just transmit.
+    stage_tx_prob_ = params_.anarchist_tx_prob(effective_window_);
     set_stage(Stage::kDesperate, 0);
     was_anarchist_ = true;
   } else {
@@ -54,10 +55,9 @@ sim::SlotAction PunctualProtocol::on_slot(const sim::SlotView& view) {
       // up toward their deadline; the tiny-window and desync flavors keep
       // the flat schedule (their ternary trajectories are digest-pinned).
       const double p =
-          no_cd_blind_
-              ? params_.degraded_floor_tx_prob(effective_window_,
-                                               effective_window_ - t)
-              : params_.anarchist_tx_prob(effective_window_);
+          no_cd_blind_ ? params_.degraded_floor_tx_prob(
+                             effective_window_, effective_window_ - t)
+                       : stage_tx_prob_;
       action.declared_prob = p;
       if (rng_.bernoulli(p)) {
         action.transmit = true;
@@ -146,7 +146,7 @@ sim::SlotAction PunctualProtocol::act_synced(Slot t) {
 
     case SlotType::kLeaderElection:
       if (stage_ == Stage::kSlingshot) {
-        const double p = params_.pullback_tx_prob(effective_window_);
+        const double p = stage_tx_prob_;
         action.declared_prob = p;
         if (rng_.bernoulli(p)) {
           action.transmit = true;
@@ -160,7 +160,7 @@ sim::SlotAction PunctualProtocol::act_synced(Slot t) {
 
     case SlotType::kAnarchy:
       if (stage_ == Stage::kAnarchist) {
-        const double p = params_.anarchist_tx_prob(effective_window_);
+        const double p = stage_tx_prob_;
         action.declared_prob = p;
         if (rng_.bernoulli(p)) {
           action.transmit = true;
@@ -205,8 +205,7 @@ sim::SlotAction PunctualProtocol::act_aligned_slot(Slot t) {
     }
     return action;
   }
-  const aligned::BroadcastSchedule::Position pos =
-      cls.broadcast->position(cls.broadcast_step);
+  const aligned::BroadcastSchedule::Position& pos = cls.position;
   if (pos.subphase_id != current_subphase_) {
     current_subphase_ = pos.subphase_id;
     chosen_offset_ = static_cast<std::int64_t>(
@@ -457,6 +456,7 @@ void PunctualProtocol::enter_probe(Slot t) { set_stage(Stage::kProbe, t); }
 void PunctualProtocol::enter_slingshot(Slot t) {
   pullback_total_ = params_.pullback_elections(effective_window_);
   elections_seen_ = 0;
+  stage_tx_prob_ = params_.pullback_tx_prob(effective_window_);
   set_stage(Stage::kSlingshot, t);
 }
 
@@ -502,6 +502,7 @@ void PunctualProtocol::restart_follow(Slot t) {
 }
 
 void PunctualProtocol::enter_anarchist(Slot t) {
+  stage_tx_prob_ = params_.anarchist_tx_prob(effective_window_);
   set_stage(Stage::kAnarchist, t);
   was_anarchist_ = true;
 }
@@ -517,6 +518,7 @@ void PunctualProtocol::note_desync_evidence(Slot t) {
     // that makes no use of the grid — rather than kAnarchist, whose anarchy
     // slots are themselves located via the (untrusted) grid.
     desync_fallback_ = true;
+    stage_tx_prob_ = params_.anarchist_tx_prob(effective_window_);
     set_stage(Stage::kDesperate, t);
     was_anarchist_ = true;
   }

@@ -128,6 +128,12 @@ class PunctualProtocol final : public sim::Protocol {
   RoundClock clock_;
   Slot effective_window_ = 0;
 
+  // Transmission probability of the stage's own transmissions: pullback
+  // claims in kSlingshot, anarchist data in kAnarchist and kDesperate
+  // (except the no-CD blind flavor). The effective window is fixed within
+  // each of these stages, so it is computed once on entry.
+  double stage_tx_prob_ = 0.0;
+
   // Last transmission bookkeeping.
   bool transmitted_ = false;
   sim::MessageKind last_tx_kind_ = sim::MessageKind::kData;

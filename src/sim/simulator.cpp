@@ -20,6 +20,8 @@ namespace crmd::sim {
 
 namespace {
 constexpr Slot kMaxSlot = std::numeric_limits<Slot>::max();
+/// What a sleeping radio hears (DESIGN.md §6k): silence, no message.
+const SlotFeedback kSilentFeedback{};
 }  // namespace
 
 std::string fast_forward_usage() { return "expected off | on | validate"; }
@@ -313,6 +315,26 @@ struct Simulation::Impl {
     if (streaming()) {
       fold_streamed(i);
     }
+  }
+
+  // The job a slot's true outcome delivers a data message for, or kNoJob.
+  [[nodiscard]] JobId credited_winner(const SlotFeedback& fb) const {
+    if (fb.outcome != SlotOutcome::kSuccess ||
+        fb.message->kind != MessageKind::kData) {
+      return kNoJob;
+    }
+    const JobId winner = fb.message->sender;
+    assert(winner >= base_id && ix(winner) < job_count() &&
+           live_flag[ix(winner)] != 0);
+    return winner;
+  }
+
+  // Records the winner's success (before it retires, so the retire event
+  // carries it).
+  void credit(JobId winner) {
+    CRMD_TRACE(config.tracer, obs::EventKind::kSuccessCredit, now, winner);
+    results[ix(winner)].success = true;
+    results[ix(winner)].success_slot = now;
   }
 
   // Streaming: refills the one-job lookahead, enforcing the process
@@ -815,32 +837,47 @@ struct Simulation::Impl {
         transmitted[ix(capture_winner)] = 0;
       }
     }
+    // One pass delivers feedback and collects the finished jobs. The retire
+    // order is the credited winner first, then the done jobs in visit
+    // order. A dark job skips on_feedback but is still asked done(), so a
+    // job already done (say, from activation) retires in this slot.
+    to_retire.clear();
+    const JobId winner = credited_winner(fb);
+    if (winner != kNoJob) {
+      to_retire.push_back(winner);
+    }
+    SlotFeedback faulted;  // one listener's view after injector->perceive
     for (const JobId id : visit) {
       const std::size_t i = ix(id);
-      if (injector != nullptr && dark[i] != 0) {
-        continue;
+      Protocol& p = *proto[i];
+      if (injector == nullptr || dark[i] == 0) {
+        const SlotFeedback* perceived =
+            split && transmitted[i] != 0 ? &transmitter_fb : &listener_fb;
+        Slot skew = 0;
+        if (injector != nullptr) {
+          faulted = injector->perceive(id, now, *perceived);
+          perceived = &faulted;
+          skew = injector->skew(id);
+        }
+        if (asleep[i] != 0) {
+          // Enforce the sleep declaration (DESIGN.md §6k): a sleeper's
+          // radio is off, so whatever the channel (or a fault) produced, it
+          // hears silence. Scrubbed *after* injector->perceive so fault RNG
+          // streams and fault metrics are untouched — a protocol that
+          // declares sleep honestly (its state was feedback-independent
+          // anyway) behaves bit-identically; one that lies sleeps through
+          // real cues instead of silently under-reporting energy.
+          // on_feedback is still called (it is the protocol's timer tick) —
+          // except for parked jobs, whose dormancy promise makes the silent
+          // tick a no-op.
+          perceived = &kSilentFeedback;
+        }
+        p.on_feedback(SlotView{now - release[i] + skew, now + skew},
+                      *perceived);
       }
-      const bool sent = split && transmitted[i] != 0;
-      SlotFeedback perceived = sent ? transmitter_fb : listener_fb;
-      if (injector != nullptr) {
-        perceived = injector->perceive(id, now, perceived);
+      if (p.done() && id != winner) {
+        to_retire.push_back(id);
       }
-      if (asleep[i] != 0) {
-        // Enforce the sleep declaration (DESIGN.md §6k): a sleeper's radio
-        // is off, so whatever the channel (or a fault) produced, it hears
-        // silence. Scrubbed *after* injector->perceive so fault RNG streams
-        // and fault metrics are untouched — a protocol that declares sleep
-        // honestly (its state was feedback-independent anyway) behaves
-        // bit-identically; one that lies sleeps through real cues instead
-        // of silently under-reporting energy. on_feedback is still called
-        // (it is the protocol's timer tick) — except for parked jobs, whose
-        // dormancy promise makes the silent tick a no-op.
-        perceived.outcome = SlotOutcome::kSilence;
-        perceived.message.reset();
-      }
-      const Slot skew = injector ? injector->skew(id) : 0;
-      SlotView view{now - release[i] + skew, now + skew};
-      proto[i]->on_feedback(view, perceived);
     }
     if (split) {
       for (const Transmission& t : transmissions) {
@@ -882,23 +919,10 @@ struct Simulation::Impl {
       observer(rec, transmissions);
     }
 
-    // Credit a delivered data message and retire finished jobs.
-    to_retire.clear();
-    if (fb.outcome == SlotOutcome::kSuccess &&
-        fb.message->kind == MessageKind::kData) {
-      const JobId winner = fb.message->sender;
-      assert(winner >= base_id && ix(winner) < job_count() &&
-             live_flag[ix(winner)] != 0);
-      CRMD_TRACE(config.tracer, obs::EventKind::kSuccessCredit, now, winner);
-      results[ix(winner)].success = true;
-      results[ix(winner)].success_slot = now;
-      to_retire.push_back(winner);
-    }
-    for (const JobId id : visit) {
-      if (proto[ix(id)]->done() &&
-          (to_retire.empty() || to_retire.front() != id)) {
-        to_retire.push_back(id);
-      }
+    // Credit the delivered data message and retire the jobs collected by
+    // the feedback pass.
+    if (winner != kNoJob) {
+      credit(winner);
     }
     for (const JobId id : to_retire) {
       retire(id);
@@ -1020,7 +1044,18 @@ struct Simulation::Impl {
       any_split = any_split || split;
     }
 
-    // Feedback phase: every live, non-dark job hears its own channel.
+    // Feedback phase: every live, non-dark job hears its own channel, and
+    // the same pass collects the finished jobs — after the winners, which
+    // come first in channel order (several winners can retire in one slot,
+    // so a done job is checked against the at most k winners by scan).
+    to_retire.clear();
+    for (std::size_t c = 0; c < kc; ++c) {
+      const JobId winner = credited_winner(chan_fb[c]);
+      if (winner != kNoJob) {
+        to_retire.push_back(winner);
+      }
+    }
+    const std::size_t winners = to_retire.size();
     if (any_split) {
       for (std::size_t c = 0; c < kc; ++c) {
         if (chan_split[c] == 0) {
@@ -1031,25 +1066,31 @@ struct Simulation::Impl {
         }
       }
     }
+    SlotFeedback faulted;  // one listener's view after injector->perceive
     for (const JobId id : live) {
       const std::size_t i = ix(id);
-      if (injector != nullptr && dark[i] != 0) {
-        continue;
+      Protocol& p = *proto[i];
+      if (injector == nullptr || dark[i] == 0) {
+        const std::size_t c = chan[i];
+        const SlotFeedback* perceived =
+            chan_split[c] != 0 && transmitted[i] != 0 ? &chan_transmitter[c]
+                                                      : &chan_listener[c];
+        Slot skew = 0;
+        if (injector != nullptr) {
+          faulted = injector->perceive(id, now, *perceived);
+          perceived = &faulted;
+          skew = injector->skew(id);
+        }
+        if (asleep[i] != 0) {
+          perceived = &kSilentFeedback;  // sleep scrub, see step_single
+        }
+        p.on_feedback(SlotView{now - release[i] + skew, now + skew},
+                      *perceived);
       }
-      const std::size_t c = chan[i];
-      const bool sent = chan_split[c] != 0 && transmitted[i] != 0;
-      SlotFeedback perceived = sent ? chan_transmitter[c] : chan_listener[c];
-      if (injector != nullptr) {
-        perceived = injector->perceive(id, now, perceived);
+      if (p.done() &&
+          std::count(to_retire.data(), to_retire.data() + winners, id) == 0) {
+        to_retire.push_back(id);
       }
-      if (asleep[i] != 0) {
-        // Sleep scrub — see step_single (DESIGN.md §6k).
-        perceived.outcome = SlotOutcome::kSilence;
-        perceived.message.reset();
-      }
-      const Slot skew = injector ? injector->skew(id) : 0;
-      SlotView view{now - release[i] + skew, now + skew};
-      proto[i]->on_feedback(view, perceived);
     }
     if (any_split) {
       for (std::size_t c = 0; c < kc; ++c) {
@@ -1122,28 +1163,9 @@ struct Simulation::Impl {
     }
 
     // Credit up to one delivered data message per channel, then retire
-    // finished jobs (several winners can retire in one slot, so membership
-    // in to_retire is checked by scan — it holds at most k + done ids).
-    to_retire.clear();
-    for (std::size_t c = 0; c < kc; ++c) {
-      if (chan_fb[c].outcome == SlotOutcome::kSuccess &&
-          chan_fb[c].message->kind == MessageKind::kData) {
-        const JobId winner = chan_fb[c].message->sender;
-        assert(winner >= base_id && ix(winner) < job_count() &&
-               live_flag[ix(winner)] != 0);
-        CRMD_TRACE(config.tracer, obs::EventKind::kSuccessCredit, now,
-                   winner);
-        results[ix(winner)].success = true;
-        results[ix(winner)].success_slot = now;
-        to_retire.push_back(winner);
-      }
-    }
-    for (const JobId id : live) {
-      if (proto[ix(id)]->done() &&
-          std::find(to_retire.begin(), to_retire.end(), id) ==
-              to_retire.end()) {
-        to_retire.push_back(id);
-      }
+    // the jobs collected by the feedback pass.
+    for (std::size_t w = 0; w < winners; ++w) {
+      credit(to_retire[w]);
     }
     for (const JobId id : to_retire) {
       retire(id);

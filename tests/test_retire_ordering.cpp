@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "util/arena.hpp"
@@ -168,6 +169,125 @@ TEST(RetireOrdering, ArenaFactoryMatchesHeapPathResults) {
   }
   EXPECT_EQ(via_arena.metrics.slots_simulated,
             via_heap.metrics.slots_simulated);
+}
+
+// ---- The fused feedback/retire pass ---------------------------------------
+//
+// step_single delivers feedback and collects finished jobs in one pass
+// over the visit set. The retire order must stay: the credited winner
+// first, then the done jobs in visit order. Retirement swap-removes from
+// the live list, so that order is observable as the live order after the
+// slot.
+
+/// Transmits its data message at `tx_at` (slots since release; -1 never)
+/// and gives up in on_slot once `quit_at` is reached, the way UNIFORM's
+/// done() turns true in on_slot. done() is also true after a perceived
+/// success, and from activation when `done_at_start` is set.
+class QuitProtocol final : public Protocol {
+ public:
+  QuitProtocol(Slot tx_at, Slot quit_at, bool done_at_start = false)
+      : tx_at_(tx_at), quit_at_(quit_at), quit_(done_at_start) {}
+
+  void on_activate(const JobInfo& info) override { info_ = info; }
+
+  SlotAction on_slot(const SlotView& view) override {
+    SlotAction action;
+    sent_ = view.since_release == tx_at_;
+    if (sent_) {
+      action.transmit = true;
+      action.message = make_data(info_.id);
+      action.declared_prob = 1.0;
+    }
+    if (view.since_release >= quit_at_) {
+      quit_ = true;
+    }
+    return action;
+  }
+
+  void on_feedback(const SlotView& /*view*/,
+                   const SlotFeedback& fb) override {
+    if (sent_ && fb.outcome == SlotOutcome::kSuccess) {
+      quit_ = true;
+    }
+  }
+
+  [[nodiscard]] bool done() const override { return quit_; }
+
+ private:
+  JobInfo info_;
+  Slot tx_at_;
+  Slot quit_at_;
+  bool quit_;
+  bool sent_ = false;
+};
+
+// Six jobs released together: job 1 transmits alone in slot 2 and wins;
+// job 3 gives up in slot 2's on_slot. Winner-first retirement gives
+// [0,1,2,3,4,5] -> retire 1 -> [0,5,2,3,4] -> retire 3 -> [0,5,2,4];
+// done-first would leave [0,4,2,5].
+std::vector<JobId> live_after_winner_and_quitter(const SimConfig& config) {
+  workload::Instance instance;
+  for (int i = 0; i < 6; ++i) {
+    instance.jobs.push_back(workload::JobSpec{0, 20});
+  }
+  const ProtocolFactory factory = [](const JobInfo& info, util::Rng) {
+    return std::make_unique<QuitProtocol>(info.id == 1 ? 2 : -1,
+                                          info.id == 3 ? 2 : 100);
+  };
+  Simulation sim(instance, factory, config);
+  while (sim.now() <= 2) {
+    EXPECT_TRUE(sim.step());
+    if (sim.now() <= 2) {
+      EXPECT_EQ(sim.live_jobs().size(), 6u) << "slot " << sim.now() - 1;
+    }
+  }
+  std::vector<JobId> live = sim.live_jobs();
+  const SimResult result = sim.finish();
+  EXPECT_TRUE(result.jobs[1].success);
+  EXPECT_EQ(result.jobs[1].success_slot, 2);
+  EXPECT_EQ(result.jobs[1].live_slots, 3);
+  EXPECT_FALSE(result.jobs[3].success);
+  EXPECT_EQ(result.jobs[3].live_slots, 3);
+  return live;
+}
+
+TEST(RetireOrdering, FusedPassRetiresWinnerThenDoneJobsInVisitOrder) {
+  EXPECT_EQ(live_after_winner_and_quitter(SimConfig{}),
+            (std::vector<JobId>{0, 5, 2, 4}));
+}
+
+// The same slot through the faulted branch of the one feedback loop: every
+// listener loses its feedback (rate 1 draws nothing and is certain), so
+// the winner never hears its own success and is retired by the credit
+// alone — still first.
+TEST(RetireOrdering, FusedPassKeepsRetireOrderUnderFaultPlan) {
+  SimConfig config;
+  config.faults.feedback_loss_rate = 1.0;
+  EXPECT_EQ(live_after_winner_and_quitter(config),
+            (std::vector<JobId>{0, 5, 2, 4}));
+}
+
+// A job whose done() is true while it is dark skips on_feedback but must
+// still retire in that slot. The crash plan (certain, never permanent)
+// keeps every job dark from its first slot on.
+TEST(RetireOrdering, DarkJobThatIsDoneRetiresInThatSlot) {
+  auto instance = instance_of({{0, 16}, {0, 16}});
+  const ProtocolFactory factory = [](const JobInfo& info, util::Rng) {
+    return std::make_unique<QuitProtocol>(-1, 100,
+                                          /*done_at_start=*/info.id == 0);
+  };
+  SimConfig config;
+  config.faults.crash_rate = 1.0;
+  config.faults.stall_min = 4;
+  config.faults.stall_max = 4;
+  Simulation sim(instance, factory, config);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.live_jobs(), (std::vector<JobId>{1}));
+  const SimResult result = sim.finish();
+  EXPECT_EQ(result.jobs[0].live_slots, 1);
+  EXPECT_EQ(result.jobs[0].dark_slots, 1);
+  EXPECT_EQ(result.jobs[1].live_slots, 16);
+  EXPECT_EQ(result.jobs[1].dark_slots, 16);
 }
 
 }  // namespace
